@@ -4,8 +4,9 @@ Every iteration gets an *r*-bit tag (bit k set iff the iteration touches
 data chunk ``π_k``); iterations with identical tags form an *iteration
 chunk* ``γ_Λ``.  Formation is fully vectorised: all references evaluate
 over the whole iteration matrix at once, per-iteration chunk-id rows are
-canonicalised (sorted, in-row duplicates masked), and ``np.unique`` over
-rows yields the grouping.
+canonicalised (sorted, in-row duplicates masked), and each canonical row
+is reduced to one integer id (:func:`~repro.util.rowkeys.row_ids`) that
+yields the grouping.
 
 Iterations are stored as **lexicographic ranks** into the nest's
 iteration space, so a chunk is just an int64 vector; the explicit
@@ -22,8 +23,14 @@ import numpy as np
 from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.nest import LoopNest
 from repro.util.bitset import Tag
+from repro.util.rowkeys import row_ids
 
-__all__ = ["IterationChunk", "IterationChunkSet", "form_iteration_chunks"]
+__all__ = [
+    "IterationChunk",
+    "IterationChunkSet",
+    "form_iteration_chunks",
+    "group_equal_rows",
+]
 
 #: In-row placeholder for a duplicated chunk id (sorts first; never a real id).
 _PAD = -1
@@ -140,6 +147,20 @@ class IterationChunkSet:
         )
 
 
+def group_equal_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """Indices of equal rows, grouped; groups in order of first appearance.
+
+    Each group is ascending.  Rows are compared through one integer id
+    each (:func:`~repro.util.rowkeys.row_ids`), so no row-wise sort runs.
+    """
+    ids, num_groups = row_ids(rows)
+    order = np.argsort(ids, kind="stable")
+    boundaries = np.cumsum(np.bincount(ids, minlength=num_groups))[:-1]
+    groups = np.split(order, boundaries)
+    first = order[np.concatenate(([0], boundaries))]
+    return [groups[g] for g in np.argsort(first, kind="stable")]
+
+
 def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChunkSet:
     """Group the nest's iterations into iteration chunks by tag (§4.2).
 
@@ -164,23 +185,12 @@ def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChu
     canon = np.where(dup, _PAD, rows)
     canon = np.sort(canon, axis=1)
 
-    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-
-    # Group iteration ranks by tag id, ordering groups by first appearance.
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(uniq))
-    boundaries = np.cumsum(counts)[:-1]
-    groups = np.split(order, boundaries)
-    first_rank = np.asarray([g[0] for g in groups])
-    appearance = np.argsort(first_rank, kind="stable")
-
     r = data_space.num_chunks
     chunks: list[IterationChunk] = []
-    for gi in appearance:
-        row = uniq[gi]
+    for ranks in group_equal_rows(canon):
+        row = canon[ranks[0]]
         tag = Tag(row[row != _PAD].tolist(), r)
-        chunks.append(IterationChunk(tag, np.sort(groups[gi])))
+        chunks.append(IterationChunk(tag, ranks))
 
     chunk_set = IterationChunkSet(nest, data_space, chunks, chunk_matrix)
     assert chunk_set.total_iterations == n_iters

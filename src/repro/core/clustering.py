@@ -21,10 +21,12 @@ Stage 1 specifics, following the paper:
   the count matches (splitting a single iteration chunk in half when a
   cluster has only one member).
 
-Merging is vectorised: supports live in an ``(n, r)`` matrix ``S``, the
-pairwise dot products ``W = S @ S.T`` are maintained under merges with
-one matvec per step, and a per-row best-partner cache (valid by the
-monotonicity of OR-dots) avoids full rescans.
+Merging is vectorised: supports are bit-packed into a ``(⌈r/64⌉, n)``
+``uint64`` matrix, and only a per-row best-partner cache (valid by the
+monotonicity of OR-dots) is kept — seeded from row blocks of the
+pairwise dot products and refreshed under merges with one popcount pass
+over the packed supports per step, never materialising the ``n x n``
+pairwise matrix.
 """
 
 from __future__ import annotations
@@ -198,59 +200,97 @@ def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
     window of Fig. 6 — and merge unrelated clusters, contradicting the
     paper's own Fig. 9 outcome.)
 
-    The pairwise matrix ``W`` is maintained with a per-row best-partner
-    cache.  OR-dots are monotone under support growth, so after merging
-    q into p every cached best only improves at column p and rows that
-    pointed at q can safely repoint to p (``p ⊇ q``); only row p itself
-    recomputes, with one matvec.
+    Supports are bit-packed into ``uint64`` words, so a dot product is a
+    popcount of the AND.  Only a per-row best-partner cache
+    (``best``/``bestw``) is kept, never the pairwise matrix: it starts
+    from row blocks of ``S @ S.T`` and is maintained under merges.
+    OR-dots are monotone under support growth, so after merging q into
+    p every cached best only improves at column p and rows that pointed
+    at q can safely repoint to p (``p ⊇ q``); only row p itself — which
+    by symmetry is also column p — is recomputed, with one popcount pass
+    over the packed supports.  ``-1`` marks a dead or self pair; real
+    dots are ``>= 0``, so ties break exactly as ``argmax`` on counts.
     """
     n = len(clusters)
-    # Support (0/1) matrix for merge decisions.
-    S = np.stack([(c.signature > 0).astype(np.float64) for c in clusters])
-    W = S @ S.T
-    np.fill_diagonal(W, -np.inf)
-    best = np.argmax(W, axis=1)
-    bestw = W[np.arange(n), best]
-    alive = np.ones(n, dtype=bool)
+    support = np.stack([c.signature > 0 for c in clusters])
+    best, bestw = _initial_best_partners(support)
+    # Packed supports, one column per cluster: S[w, i] is word w of
+    # cluster i, so a row of dots reduces over the short word axis.
+    words = -(-r // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-r // 8)] = np.packbits(support, axis=1)
+    S = np.ascontiguousarray(packed.view(np.uint64).T)
+    dead = np.zeros(n, dtype=bool)
     remaining = n
     while remaining > target:
-        masked = np.where(alive, bestw, -np.inf)
-        p = int(np.argmax(masked))
+        p = int(bestw.argmax())
         q = int(best[p])
         # Merge q into p (counts add; support ORs).
         clusters[p].members.extend(clusters[q].members)
         clusters[p].signature += clusters[q].signature
         clusters[p].size += clusters[q].size
-        np.maximum(S[p], S[q], out=S[p])
-        alive[q] = False
-        bestw[q] = -np.inf
-        W[q, :] = -np.inf
-        W[:, q] = -np.inf
-        # Exact new row for p: one matvec against the alive supports.
-        row = S @ S[p]
-        row[~alive] = -np.inf
-        row[p] = -np.inf
-        W[p, :] = row
-        W[:, p] = row
+        S[:, p] |= S[:, q]
+        dead[q] = True
+        bestw[q] = -1
+        # Exact new row (and column) p against the alive supports.
+        row = np.bitwise_count(S & S[:, p, None]).sum(axis=0, dtype=np.int32)
+        row[dead] = -1
+        row[p] = -1
         # Rows pointing at p or q: p absorbed q, so p is at least as good
-        # as the stale cached partner (support monotonicity).
-        repoint = alive & ((best == q) | (best == p))
-        if repoint.any():
-            best[repoint] = p
-            bestw[repoint] = W[repoint, p]
-        # Every other row may only have improved at column p.
-        better = alive & (W[:, p] > bestw)
-        if better.any():
-            best[better] = p
-            bestw[better] = W[better, p]
+        # as the stale cached partner (support monotonicity).  Every other
+        # row may only have improved at column p.  Dead rows only ever
+        # receive the -1 sentinel.
+        repoint = (best == q) | (best == p) | (row > bestw)
+        np.putmask(best, repoint, p)
+        np.putmask(bestw, repoint, row)
         # Row p itself rescans its fresh row.
-        best[p] = int(np.argmax(W[p]))
-        bestw[p] = W[p, best[p]]
+        b = int(row.argmax())
+        best[p] = b
+        bestw[p] = row[b]
         remaining -= 1
-    ordered = [clusters[i] for i in range(n) if alive[i]]
+    ordered = [clusters[i] for i in range(n) if not dead[i]]
     # Deterministic child order: by smallest member pool index.
     ordered.sort(key=lambda c: min(c.members))
     return ordered
+
+
+#: Rows of ``S @ S.T`` materialised at a time by :func:`_initial_best_partners`.
+_BLOCK_ROWS = 256
+
+
+def _initial_best_partners(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first maximal off-diagonal support dot, in row blocks.
+
+    Only the upper triangle of ``S @ S.T`` is computed, ``_BLOCK_ROWS``
+    rows at a time; each block also serves, transposed, the rows below
+    it.  Every row sees its columns in ascending order and keeps a
+    partner unless a strictly larger dot arrives, so ties go to the
+    lowest column as with ``argmax`` over the full row.  The 0/1 GEMM
+    is exact in float32 (dots are at most ``r`` < 2**24).
+    """
+    n = len(support)
+    F = support.astype(np.float32)
+    best = np.zeros(n, dtype=np.int64)
+    bestw = np.full(n, -1, dtype=np.int32)
+    for i0 in range(0, n, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, n)
+        block = (F[i0:i1] @ F[i0:].T).astype(np.int32)
+        rows = np.arange(i1 - i0)
+        block[rows, rows] = -1
+        # Rows i0:i1 against columns i0: (earlier columns came before).
+        _offer(best[i0:i1], bestw[i0:i1], block, i0)
+        # Rows i1: against columns i0:i1, by symmetry.
+        _offer(best[i1:], bestw[i1:], block[:, i1 - i0 :].T, i0)
+    return best, bestw
+
+
+def _offer(best: np.ndarray, bestw: np.ndarray, dots: np.ndarray, col0: int) -> None:
+    """Update cached partners in place with later columns ``col0 + j``."""
+    col = np.argmax(dots, axis=1)
+    val = dots[np.arange(len(dots)), col]
+    better = val > bestw
+    best[better] = col[better] + col0
+    bestw[better] = val[better]
 
 
 def _split_largest(

@@ -5,11 +5,11 @@ of common '1's between the tags of the two nodes" — i.e.
 ``popcount(Λi AND Λj)`` = the dot product of the 0/1 tag vectors.
 
 The whole weight matrix is ``W = S @ S.T`` for the (n, r) tag matrix S,
-computed with one BLAS call.  The graph is what Fig. 8 draws for the
-running example; the clustering stage consumes the same dot products via
-cluster signatures, so this module is primarily the *inspectable* form
-(edges, neighbours, components) plus the dependence-fusion hook
-(infinite-weight edges, §5.4).
+computed with one BLAS call when first inspected.  The graph is what
+Fig. 8 draws for the running example; the clustering stage consumes the
+same dot products via cluster signatures, so this module is primarily
+the *inspectable* form (edges, neighbours, components) plus the
+dependence-fusion hook (infinite-weight edges, §5.4).
 """
 
 from __future__ import annotations
@@ -25,20 +25,30 @@ __all__ = ["AffinityGraph", "build_affinity_graph"]
 
 
 class AffinityGraph:
-    """Dense affinity graph over the iteration chunks of one nest."""
+    """Dense affinity graph over the iteration chunks of one nest.
 
-    __slots__ = ("chunk_set", "weights", "_forced")
+    Without explicit ``weights`` the matrix is computed from the chunk
+    tags on first access: the mapper itself only needs the forced pairs,
+    so an ``n x n`` matrix is built only when something inspects edges.
+    """
 
-    def __init__(self, chunk_set: IterationChunkSet, weights: np.ndarray):
-        n = chunk_set.num_chunks
-        w = np.asarray(weights)
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix must be ({n}, {n}), got {w.shape}")
-        if not np.array_equal(w, w.T):
-            raise ValueError("affinity weights must be symmetric")
+    __slots__ = ("chunk_set", "_weights", "_forced")
+
+    def __init__(
+        self, chunk_set: IterationChunkSet, weights: np.ndarray | None = None
+    ):
         self.chunk_set = chunk_set
-        self.weights = w.astype(np.float64)
+        self._weights = None if weights is None else _checked(chunk_set, weights)
         self._forced: set[tuple[int, int]] = set()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """``(n, n)`` float64 edge weights (∞ for forced-together pairs)."""
+        if self._weights is None:
+            # 0/1 product in float32: exact for counts up to 2**24.
+            S = self.chunk_set.signature_matrix().astype(np.float32)
+            self._weights = (S @ S.T).astype(np.float64)
+        return self._weights
 
     @property
     def num_nodes(self) -> int:
@@ -117,8 +127,19 @@ class AffinityGraph:
         return f"AffinityGraph(nodes={self.num_nodes}, forced={len(self._forced)})"
 
 
+def _checked(chunk_set: IterationChunkSet, weights: np.ndarray) -> np.ndarray:
+    n = chunk_set.num_chunks
+    w = np.asarray(weights)
+    if w.shape != (n, n):
+        raise ValueError(f"weight matrix must be ({n}, {n}), got {w.shape}")
+    if not np.array_equal(w, w.T):
+        raise ValueError("affinity weights must be symmetric")
+    return w.astype(np.float64)
+
+
 def build_affinity_graph(chunk_set: IterationChunkSet) -> AffinityGraph:
-    """Initialization step of Fig. 5: ``ω(γΛi, γΛj) = popcount(Λi ∧ Λj)``."""
-    S = chunk_set.signature_matrix().astype(np.float64)
-    W = S @ S.T
-    return AffinityGraph(chunk_set, W)
+    """Initialization step of Fig. 5: ``ω(γΛi, γΛj) = popcount(Λi ∧ Λj)``.
+
+    The weights are computed on first access (see :class:`AffinityGraph`).
+    """
+    return AffinityGraph(chunk_set)

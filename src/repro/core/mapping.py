@@ -75,9 +75,14 @@ class Mapping:
             raise ValueError(
                 f"mapping covers {len(all_ranks)} of {total_iterations} iterations"
             )
-        if len(np.unique(all_ranks)) != total_iterations:
+        # A duplicate is reported before an out-of-range rank, so both
+        # halves of the input are checked for repeats first.
+        in_range = (all_ranks >= 0) & (all_ranks < total_iterations)
+        outside = all_ranks[~in_range]
+        seen = np.bincount(all_ranks[in_range], minlength=total_iterations)
+        if seen.max(initial=0) > 1 or len(np.unique(outside)) < len(outside):
             raise ValueError("mapping assigns some iteration twice")
-        if len(all_ranks) and (all_ranks.min() < 0 or all_ranks.max() >= total_iterations):
+        if len(outside):
             raise ValueError("mapping contains out-of-range iteration ranks")
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import TextIO
+from typing import Callable, TextIO
 
 __all__ = ["ProgressReporter"]
 
@@ -34,7 +34,8 @@ class ProgressReporter:
     Call it as ``reporter(done, total)`` (the ``execute_plan``
     ``progress`` signature); call :meth:`close` when the sweep ends to
     terminate the TTY line / emit the non-TTY summary.  ``label`` names
-    the unit ("cells", "tasks").
+    the unit ("cells", "tasks").  ``clock`` is the monotonic time
+    source, injectable so tests need not depend on real time.
     """
 
     def __init__(
@@ -42,12 +43,16 @@ class ProgressReporter:
         label: str = "cells",
         stream: TextIO | None = None,
         min_interval_s: float = 2.0,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval_s = min_interval_s
-        self._start = time.monotonic()
-        self._last_emit = 0.0
+        self._clock = clock
+        self._start = clock()
+        #: None until the first line is written: the first update always
+        #: emits, whatever the clock's origin.
+        self._last_emit: float | None = None
         self._done = 0
         self._total = 0
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
@@ -56,9 +61,13 @@ class ProgressReporter:
     def __call__(self, done: int, total: int) -> None:
         self._done, self._total = done, total
         self._dirty = True
-        now = time.monotonic()
+        now = self._clock()
         interval = 0.1 if self._tty else self.min_interval_s
-        if done < total and now - self._last_emit < interval:
+        if (
+            done < total
+            and self._last_emit is not None
+            and now - self._last_emit < interval
+        ):
             return
         self._emit(now)
 
@@ -86,11 +95,11 @@ class ProgressReporter:
     def close(self) -> None:
         """Flush the final state (idempotent)."""
         if self._dirty:
-            self._emit(time.monotonic())
+            self._emit(self._clock())
         elif self._tty and self._done < self._total:
             self.stream.write("\n")
             self.stream.flush()
 
     @property
     def elapsed_s(self) -> float:
-        return time.monotonic() - self._start
+        return self._clock() - self._start

@@ -35,11 +35,13 @@ import numpy as np
 from repro.polyhedral.iterspace import IterationSpace
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
+from repro.util.rowkeys import row_ids
 
 __all__ = [
     "Dependence",
     "find_dependences",
     "may_depend",
+    "rows_intersect",
     "distance_vector",
     "carried_level",
     "parallelizable_loops",
@@ -147,12 +149,20 @@ def _exact_or_conservative(
     if space.size > EXACT_TEST_LIMIT:
         return True  # conservative
     its = space.enumerate()
-    ia = ref_a.indices(its)
-    ib = ref_b.indices(its)
     # Compare the full touched-index sets (element granularity).
-    set_a = {tuple(int(v) for v in row) for row in np.atleast_2d(ia)}
-    set_b = {tuple(int(v) for v in row) for row in np.atleast_2d(ib)}
-    return not set_a.isdisjoint(set_b)
+    return rows_intersect(ref_a.indices(its), ref_b.indices(its))
+
+
+def rows_intersect(ia: np.ndarray, ib: np.ndarray) -> bool:
+    """Do two ``(N, ndim)`` index matrices share any row?
+
+    Exact for any int64 values: each row is reduced to one dense integer
+    id, so the test is a boolean mask over ids rather than sets of tuples.
+    """
+    ids, k = row_ids(np.concatenate([ia, ib]))
+    touched_a = np.zeros(k, dtype=bool)
+    touched_a[ids[: len(ia)]] = True
+    return bool(touched_a[ids[len(ia) :]].any())
 
 
 def distance_vector(

@@ -129,7 +129,8 @@ class AsyncHttpServer:
         self.ready = threading.Event()
         self._busy = 0
         self._draining = False
-        self._started_monotonic = 0.0
+        #: None until the loop starts serving (uptime then reads 0).
+        self._started_monotonic: float | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._connections: set[asyncio.Task] = set()
@@ -152,6 +153,8 @@ class AsyncHttpServer:
 
     @property
     def uptime_s(self) -> float:
+        if self._started_monotonic is None:
+            return 0.0
         return time.monotonic() - self._started_monotonic
 
     async def _startup(self) -> None:

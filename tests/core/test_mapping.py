@@ -36,6 +36,25 @@ class TestMapping:
         with pytest.raises(ValueError):
             m.validate(2)
 
+    def test_validate_error_precedence(self):
+        # Length is checked first, then repeats, then the rank range.
+        with pytest.raises(ValueError, match="covers 3 of 2"):
+            mapping_of({0: [0, 0, 9]}).validate(2)
+        with pytest.raises(ValueError, match="twice"):
+            mapping_of({0: [0, 0, 7]}).validate(3)
+        with pytest.raises(ValueError, match="twice"):
+            mapping_of({0: [0, 7], 1: [7]}).validate(3)
+        with pytest.raises(ValueError, match="twice"):
+            mapping_of({0: [-1, 1], 1: [-1]}).validate(3)
+        with pytest.raises(ValueError, match="out-of-range"):
+            mapping_of({0: [0, 1, 3]}).validate(3)
+        with pytest.raises(ValueError, match="out-of-range"):
+            mapping_of({0: [-1, 1], 1: [2]}).validate(3)
+
+    def test_validate_empty(self):
+        mapping_of({}).validate(0)
+        mapping_of({0: []}).validate(0)
+
     def test_client_of_iteration(self):
         m = mapping_of({0: [0, 3], 1: [1, 2]})
         assert m.client_of_iteration(4).tolist() == [0, 1, 1, 0]

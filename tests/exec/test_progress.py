@@ -99,14 +99,27 @@ class TestExecutorEvents:
         assert ex.pop_events() == []
 
 
+class FakeClock:
+    """A settable monotonic clock starting at 0, like a host just booted."""
+
+    def __init__(self, now: float = 0.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
 class TestProgressReporter:
     def test_non_tty_rate_limited(self):
         stream = io.StringIO()
+        clock = FakeClock()
         reporter = ProgressReporter(
-            label="cells", stream=stream, min_interval_s=3600
+            label="cells", stream=stream, min_interval_s=3600, clock=clock
         )
         for i in range(1, 10):
+            clock.now += 1.0
             reporter(i, 10)
+        clock.now += 1.0
         reporter(10, 10)
         reporter.close()
         lines = [l for l in stream.getvalue().splitlines() if l]
@@ -116,6 +129,20 @@ class TestProgressReporter:
         assert lines[0].startswith("cells: 1/10")
         assert lines[-1].startswith("cells: 10/10")
         assert "/s" in lines[-1] and "eta" in lines[-1]
+
+    def test_non_tty_emits_again_after_interval(self):
+        stream = io.StringIO()
+        clock = FakeClock()
+        reporter = ProgressReporter(stream=stream, min_interval_s=2.0, clock=clock)
+        reporter(1, 10)  # first line, at clock origin 0
+        clock.now = 1.9
+        reporter(2, 10)  # suppressed
+        clock.now = 2.0
+        reporter(3, 10)
+        lines = stream.getvalue().splitlines()
+        assert [l.split(" ")[1] for l in lines] == ["1/10", "3/10"]
+        assert "(1.5/s" in lines[-1]
+        assert reporter.elapsed_s == 2.0
 
     def test_close_flushes_pending(self):
         stream = io.StringIO()

@@ -102,6 +102,13 @@ class TestOpsEndpoints:
             assert "exec_retries" in text
         assert h.exit_code == 0
 
+    def test_uptime_counts_from_serving_not_host_boot(self):
+        server = MappingServer(port=0, store=MemoryStore())
+        assert server.uptime_s == 0.0
+        with ServerHarness() as h, h.client() as c:
+            uptime = c.statusz()["uptime_s"]
+            assert 0.0 <= uptime < 60.0
+
     def test_unknown_endpoint_and_methods(self):
         with ServerHarness() as h, h.client() as c:
             status, body, _ = c._request("GET", "/no/such/path")
