@@ -23,7 +23,9 @@ we instead fill the *smallest* cluster — same greedy intent, guaranteed
 progress.
 
 Chunk-tag dot products are computed in bulk against a cached
-``(pool, r)`` tag matrix, one BLAS matvec per donor/recipient pairing.
+``float32`` ``(pool, r)`` tag matrix, one BLAS sgemv per donor/recipient
+pairing against the recipient's support; the dots are integers below
+``2**24``, so single precision ranks them exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.clustering import Cluster
+    from repro.telemetry import Counter
 
 __all__ = ["balance_clusters", "imbalance", "TagMatrix"]
 
@@ -56,24 +59,24 @@ class TagMatrix:
     """A growable dense ``(len(pool), r)`` matrix of chunk tag vectors.
 
     Kept in sync with the chunk pool so eviction scoring is one
-    fancy-indexed matmul instead of per-chunk Python loops.
+    fancy-indexed matmul instead of per-chunk Python loops.  Rows are
+    ``float32``: tag entries are 0/1 and every sum or dot taken over
+    them is an integer below ``2**24``, so single precision is exact.
     """
 
     def __init__(self, pool: list[IterationChunk], r: int):
         self.r = r
-        self._rows = np.zeros((max(len(pool), 16), r), dtype=np.float64)
+        self._rows = np.zeros((max(len(pool), 16), r), dtype=np.float32)
         self._n = 0
         for chunk in pool:
             self.append(chunk)
 
     def append(self, chunk: IterationChunk) -> None:
         if self._n == len(self._rows):
-            grown = np.zeros((2 * len(self._rows), self.r), dtype=np.float64)
+            grown = np.zeros((2 * len(self._rows), self.r), dtype=np.float32)
             grown[: self._n] = self._rows[: self._n]
             self._rows = grown
-        row = self._rows[self._n]
-        for c in chunk.tag.chunks:
-            row[c] = 1.0
+        self._rows[self._n, list(chunk.tag.chunks)] = 1.0
         self._n += 1
 
     def row(self, index: int) -> np.ndarray:
@@ -81,10 +84,16 @@ class TagMatrix:
             raise IndexError(f"tag row {index} out of range")
         return self._rows[index]
 
-    def dots(self, members: list[int], signature: np.ndarray) -> np.ndarray:
-        """Dot product of each member's tag with a cluster signature."""
+    def rows(self, members: list[int]) -> np.ndarray:
+        """A copy of the members' tag rows, ``(len(members), r)``."""
         idx = np.asarray(members, dtype=np.int64)
-        return self._rows[idx] @ signature
+        if len(idx) and not (0 <= idx.min() and idx.max() < self._n):
+            raise IndexError("tag row out of range")
+        return self._rows[idx]
+
+    def dots(self, members: list[int], signature: np.ndarray) -> np.ndarray:
+        """Dot product of each member's tag with a ``float32`` signature."""
+        return self.rows(members) @ signature
 
     def __len__(self) -> int:
         return self._n
@@ -109,6 +118,7 @@ def balance_clusters(
     bthres = balance_threshold * mean
     ulim = mean + bthres
     llim = mean - bthres
+    moves = get_registry().counter("balancing.moves")
 
     try:
         # Every donor pass strictly shrinks the largest cluster or stops,
@@ -120,9 +130,9 @@ def balance_clusters(
             recipient = min(clusters, key=lambda c: c.size)
             if recipient is donor:
                 return
-            moved = _drain(donor, recipient, pool, tags, llim, ulim, mean)
+            moved = _drain(donor, recipient, pool, tags, llim, ulim, mean, moves)
             if not moved and not _split_and_evict(
-                donor, recipient, pool, tags, llim, ulim
+                donor, recipient, pool, tags, llim, ulim, moves
             ):
                 return  # no legal move exists (chunk granularity limit)
     finally:
@@ -139,6 +149,7 @@ def _drain(
     llim: float,
     ulim: float,
     mean: float,
+    moves: "Counter",
 ) -> bool:
     """Move best-affinity chunks donor -> recipient until one side is done.
 
@@ -147,7 +158,7 @@ def _drain(
     """
     if len(donor.members) < 2:
         return False
-    support = (recipient.signature > 0).astype(np.float64)
+    support = (recipient.signature > 0).astype(np.float32)
     order = np.argsort(-tags.dots(donor.members, support), kind="stable")
     candidates = [donor.members[i] for i in order]
     moved_any = False
@@ -159,7 +170,7 @@ def _drain(
             break
         if donor.size - s < llim or recipient.size + s > ulim:
             continue
-        _move(m, donor, recipient, pool, tags)
+        _move(m, donor, recipient, pool, tags, moves)
         moved_any = True
     return moved_any
 
@@ -171,6 +182,7 @@ def _split_and_evict(
     tags: TagMatrix,
     llim: float,
     ulim: float,
+    moves: "Counter",
 ) -> bool:
     """Split a donor chunk so the moved piece keeps both sides in limits."""
     # The piece size s must satisfy: donor.size - s >= llim  and
@@ -179,7 +191,7 @@ def _split_and_evict(
     piece = int(math.floor(s_max))
     if piece < 1:
         return False
-    support = (recipient.signature > 0).astype(np.float64)
+    support = (recipient.signature > 0).astype(np.float32)
     dots = tags.dots(donor.members, support)
     order = np.argsort(-dots, kind="stable")
     best_m = None
@@ -206,7 +218,7 @@ def _split_and_evict(
     # The donor momentarily holds both pieces (same tag counted twice).
     donor.members.append(moved_idx)
     donor.signature += tags.row(moved_idx)
-    _move(moved_idx, donor, recipient, pool, tags)
+    _move(moved_idx, donor, recipient, pool, tags, moves)
     return True
 
 
@@ -216,8 +228,9 @@ def _move(
     recipient: "Cluster",
     pool: list[IterationChunk],
     tags: TagMatrix,
+    moves: "Counter",
 ) -> None:
-    get_registry().counter("balancing.moves").inc()
+    moves.inc()
     donor.members.remove(m)
     v = tags.row(m)
     donor.signature -= v

@@ -27,8 +27,8 @@ from repro.polyhedral.dependence import find_dependences
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.transforms import (
     legal_permutations,
-    permute_iterations,
-    tile_iterations,
+    permutation_ranks,
+    tile_ranks,
 )
 
 __all__ = ["OriginalMapper", "IntraProcessorMapper", "block_partition"]
@@ -99,10 +99,12 @@ class IntraProcessorMapper:
         hierarchy: CacheHierarchy,
     ) -> Mapping:
         iterations = nest.iterations()
-        chunk_matrix = np.stack(
-            [ref.touched_chunks(iterations, data_space) for ref in nest.references],
-            axis=1,
+        touched = np.stack(
+            [ref.touched_chunks(iterations, data_space) for ref in nest.references]
         )
+        # One row per reference, in the narrowest dtype that holds every
+        # chunk id: each candidate's cost gathers all of it.
+        chunks = touched.astype(np.min_scalar_type(touched.max(initial=0)))
 
         deps = find_dependences(nest)
         distances = [d.distance for d in deps]
@@ -114,44 +116,43 @@ class IntraProcessorMapper:
         )
         tile_candidates = self.tile_candidates if can_tile else (0,)
 
+        space = nest.space
         best_cost = None
-        best_order = iterations
+        best_ranks = np.arange(space.size, dtype=np.int64)
         candidates_tried = 0
+        tiles_scored: set[int] = set()
         for perm in perms:
-            permuted = permute_iterations(iterations, perm)
             for tile in tile_candidates:
-                if tile == 0:
-                    candidate = permuted
-                else:
-                    if tile >= max(nest.space.shape):
-                        continue  # tile larger than every extent: same as untiled
-                    candidate = tile_iterations(
-                        permuted, [tile] * nest.depth, nest.space
-                    )
+                if tile >= max(space.shape):
+                    continue  # tile larger than every extent: same as untiled
                 candidates_tried += 1
-                cost = self._transition_cost(candidate, nest, chunk_matrix)
+                if tile == 0:
+                    candidate = permutation_ranks(space, perm)
+                elif tile in tiles_scored:
+                    # Tiling ignores the permutation (see tile_ranks), so
+                    # this repeats a scored candidate: it cannot win the
+                    # strict ``<`` below.
+                    continue
+                else:
+                    tiles_scored.add(tile)
+                    candidate = tile_ranks(space, [tile] * nest.depth)
+                cost = self._transition_cost(candidate, chunks)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
-                    best_order = candidate
+                    best_ranks = candidate
         get_registry().counter("baselines.intra.candidates").inc(candidates_tried)
-        ranks = nest.space.linearize(best_order)
-        order = block_partition(ranks, hierarchy.num_clients)
+        order = block_partition(best_ranks, hierarchy.num_clients)
         return Mapping(self.name, order)
 
     @staticmethod
-    def _transition_cost(
-        ordered_iterations: np.ndarray, nest: LoopNest, chunk_matrix: np.ndarray
-    ) -> int:
-        """Block requests this execution order issues.
+    def _transition_cost(ranks: np.ndarray, chunks: np.ndarray) -> int:
+        """Block requests the execution order ``ranks`` issues.
 
-        Counts per-reference block transitions — exactly the number of
-        storage-cache requests after request coalescing, i.e. the
-        compulsory load the order puts on the private cache.
+        ``chunks[j, i]`` is the data chunk reference ``j`` touches at
+        iteration rank ``i``.  Counts per-reference block transitions —
+        exactly the number of storage-cache requests after request
+        coalescing, i.e. the compulsory load the order puts on the
+        private cache.
         """
-        ranks = nest.space.linearize(ordered_iterations)
-        rows = chunk_matrix[ranks]
-        if len(rows) < 2:
-            return int(rows.shape[1])
-        return int(
-            rows.shape[1] + np.count_nonzero(rows[1:] != rows[:-1])
-        )
+        rows = np.take(chunks, ranks, axis=1)
+        return int(rows.shape[0] + np.count_nonzero(rows[:, 1:] != rows[:, :-1]))

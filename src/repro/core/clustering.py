@@ -26,7 +26,12 @@ Merging is vectorised: supports are bit-packed into a ``(⌈r/64⌉, n)``
 monotonicity of OR-dots) is kept — seeded from row blocks of the
 pairwise dot products and refreshed under merges with one popcount pass
 over the packed supports per step, never materialising the ``n x n``
-pairwise matrix.
+pairwise matrix.  Once fewer than half the columns are alive (and at
+least ``_COMPACT_MIN`` are), the dead ones are dropped so each step's
+pass only covers live clusters.
+
+Signatures are ``float32`` rows, like the :class:`TagMatrix` they are
+summed from: counts stay far below ``2**24``, so they are exact.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ class Cluster:
 
     ``members`` index into the shared chunk *pool* (which can grow when
     load balancing splits chunks).  ``signature`` holds per-data-chunk
-    member-tag *counts* (so eviction can subtract exactly); merge and
-    eviction decisions use its support, ``signature > 0``.  ``size`` is
-    the total iteration count.
+    member-tag *counts* as ``float32`` (exact below ``2**24``, so
+    eviction can subtract exactly); merge and eviction decisions use its
+    support, ``signature > 0``.  ``size`` is the total iteration count.
     """
 
     members: list[int]
@@ -174,7 +179,7 @@ def cluster_into(
     else:
         initial = [[m] for m in member_ids]
 
-    clusters = [_make_cluster(members, pool, r, tags) for members in initial]
+    clusters = [_make_cluster(members, pool, tags) for members in initial]
     registry = get_registry()
     if len(clusters) > num_clusters:
         registry.counter("clustering.merges", level=level or "all").inc(
@@ -186,7 +191,7 @@ def cluster_into(
             num_clusters - len(clusters)
         )
     while len(clusters) < num_clusters:
-        _split_largest(clusters, pool, r, tags)
+        _split_largest(clusters, pool, tags)
     return clusters
 
 
@@ -210,9 +215,16 @@ def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
     by symmetry is also column p — is recomputed, with one popcount pass
     over the packed supports.  ``-1`` marks a dead or self pair; real
     dots are ``>= 0``, so ties break exactly as ``argmax`` on counts.
+
+    When fewer than half the columns are alive (and at least
+    ``_COMPACT_MIN`` are), the dead columns of ``S``, ``best``,
+    ``bestw`` and ``dead`` are dropped: ``index`` maps each column to
+    its cluster and ``best`` is remapped to the new positions.  Alive
+    rows only ever point at alive columns, and the survivors keep their
+    relative order, so every ``argmax`` tie still breaks the same way.
     """
     n = len(clusters)
-    support = np.stack([c.signature > 0 for c in clusters])
+    support = np.stack([c.signature for c in clusters]) > 0
     best, bestw = _initial_best_partners(support)
     # Packed supports, one column per cluster: S[w, i] is word w of
     # cluster i, so a row of dots reduces over the short word axis.
@@ -221,26 +233,41 @@ def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
     packed[:, : -(-r // 8)] = np.packbits(support, axis=1)
     S = np.ascontiguousarray(packed.view(np.uint64).T)
     dead = np.zeros(n, dtype=bool)
+    # Column j of S/best/bestw/dead is cluster index[j]; compaction drops
+    # dead columns but keeps the rest in order, so argmax ties still
+    # break toward the lowest cluster index.
+    index = np.arange(n)
     remaining = n
     while remaining > target:
+        if 2 * remaining < len(index) and remaining >= _COMPACT_MIN:
+            alive = ~dead
+            position = np.cumsum(alive) - 1
+            S = np.ascontiguousarray(S[:, alive])
+            best = position[best[alive]]  # alive rows point at alive columns
+            bestw = bestw[alive]
+            index = index[alive]
+            dead = np.zeros(remaining, dtype=bool)
         p = int(bestw.argmax())
         q = int(best[p])
         # Merge q into p (counts add; support ORs).
-        clusters[p].members.extend(clusters[q].members)
-        clusters[p].signature += clusters[q].signature
-        clusters[p].size += clusters[q].size
+        cp, cq = clusters[index[p]], clusters[index[q]]
+        cp.members.extend(cq.members)
+        cp.signature += cq.signature
+        cp.size += cq.size
         S[:, p] |= S[:, q]
         dead[q] = True
         bestw[q] = -1
         # Exact new row (and column) p against the alive supports.
         row = np.bitwise_count(S & S[:, p, None]).sum(axis=0, dtype=np.int32)
-        row[dead] = -1
+        np.putmask(row, dead, -1)
         row[p] = -1
         # Rows pointing at p or q: p absorbed q, so p is at least as good
         # as the stale cached partner (support monotonicity).  Every other
         # row may only have improved at column p.  Dead rows only ever
         # receive the -1 sentinel.
-        repoint = (best == q) | (best == p) | (row > bestw)
+        repoint = row > bestw
+        repoint |= best == q
+        repoint |= best == p
         np.putmask(best, repoint, p)
         np.putmask(bestw, repoint, row)
         # Row p itself rescans its fresh row.
@@ -248,11 +275,14 @@ def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
         best[p] = b
         bestw[p] = row[b]
         remaining -= 1
-    ordered = [clusters[i] for i in range(n) if not dead[i]]
+    ordered = [clusters[i] for i in index[~dead]]
     # Deterministic child order: by smallest member pool index.
     ordered.sort(key=lambda c: min(c.members))
     return ordered
 
+
+#: Fewest alive clusters for which :func:`_merge_down` compacts dead columns.
+_COMPACT_MIN = 128
 
 #: Rows of ``S @ S.T`` materialised at a time by :func:`_initial_best_partners`.
 _BLOCK_ROWS = 256
@@ -296,7 +326,6 @@ def _offer(best: np.ndarray, bestw: np.ndarray, dots: np.ndarray, col0: int) -> 
 def _split_largest(
     clusters: list[Cluster],
     pool: list[IterationChunk],
-    r: int,
     tags: TagMatrix,
 ) -> None:
     """Split the largest cluster into two (paper: "Break cαq into two")."""
@@ -316,8 +345,8 @@ def _split_largest(
             taken.append(m)
             acc += pool[m].size
         rest = [m for m in cluster.members if m not in set(taken)]
-        clusters[big] = _make_cluster(taken, pool, r, tags)
-        clusters.append(_make_cluster(rest, pool, r, tags))
+        clusters[big] = _make_cluster(taken, pool, tags)
+        clusters.append(_make_cluster(rest, pool, tags))
         return
     # Single chunk: split the chunk itself in half.
     m = cluster.members[0]
@@ -330,22 +359,20 @@ def _split_largest(
     pool[m] = first
     pool.append(second)
     tags.append(second)
-    clusters[big] = _make_cluster([m], pool, r, tags)
-    clusters.append(_make_cluster([len(pool) - 1], pool, r, tags))
+    clusters[big] = _make_cluster([m], pool, tags)
+    clusters.append(_make_cluster([len(pool) - 1], pool, tags))
 
 
 def _make_cluster(
     members: list[int],
     pool: list[IterationChunk],
-    r: int,
     tags: TagMatrix,
 ) -> Cluster:
-    sig = np.zeros(r, dtype=np.float64)
-    size = 0
-    for m in members:
-        sig += tags.row(m)
-        size += pool[m].size
-    return Cluster(list(members), sig, size)
+    if len(members) == 1:  # the common case: a copy of the member's tag row
+        m = members[0]
+        return Cluster([m], tags.row(m).copy(), pool[m].size)
+    sig = tags.rows(members).sum(axis=0)
+    return Cluster(list(members), sig, sum(pool[m].size for m in members))
 
 
 def distribute_iterations(

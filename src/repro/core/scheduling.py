@@ -34,7 +34,6 @@ from repro.core.chunking import IterationChunk
 from repro.core.clustering import DistributionResult
 from repro.hierarchy.topology import CacheHierarchy, CacheNode
 from repro.telemetry import get_registry
-from repro.util.bitset import Tag
 
 __all__ = ["schedule_clients", "schedule_group"]
 
@@ -66,24 +65,43 @@ def schedule_group(
     """Schedule one I/O-cache group of clients (Fig. 15 inner loop).
 
     ``client_chunks[i]`` is the unordered pool-index set of the group's
-    i-th client; the return value is the ordered schedules.
+    i-th client; the return value is the ordered schedules.  Tags are
+    scored as Python-int bitmasks (``Λa • Λx`` is ``(a & x).bit_count()``),
+    each member's mask and popcount taken once per group.
     """
     n = len(client_chunks)
     remaining: list[list[int]] = [list(c) for c in client_chunks]
     schedules: list[list[int]] = [[] for _ in range(n)]
     counts = [0] * n
-
-    def tag(m: int) -> Tag:
-        return pool[m].tag
+    mask = {m: pool[m].tag.mask for c in remaining for m in c}
+    ones = {m: a.bit_count() for m, a in mask.items()}
 
     def take(i: int, m: int) -> None:
         remaining[i].remove(m)
         schedules[i].append(m)
         counts[i] += pool[m].size
 
-    def best(i: int, score) -> int:
-        # max score; ties by lowest pool index for determinism
-        return min(remaining[i], key=lambda m: (-score(m), m))
+    def pick(i: int, keys: list) -> int:
+        """Client i's remaining chunk with the lowest key (ties: lowest index)."""
+        return min(zip(keys, remaining[i]))[1]
+
+    def sparsest(i: int) -> int:
+        """Fewest data chunks first (least "1" bits)."""
+        return pick(i, [ones[m] for m in remaining[i]])
+
+    def best_one(i: int, weight: float, x: int) -> int:
+        """Maximise ``weight · (Λm • Λx)``."""
+        return pick(i, [-(weight * (mask[m] & x).bit_count()) for m in remaining[i]])
+
+    def best_both(i: int, x: int, y: int) -> int:
+        """Maximise ``α · (Λm • Λx) + β · (Λm • Λy)``."""
+        return pick(
+            i,
+            [
+                -(alpha * (mask[m] & x).bit_count() + beta * (mask[m] & y).bit_count())
+                for m in remaining[i]
+            ],
+        )
 
     while any(remaining):
         progressed = False
@@ -91,35 +109,26 @@ def schedule_group(
             if not remaining[i]:
                 continue
             if i == 0 and not schedules[i]:
-                # Fewest data chunks first (least "1" bits).
-                take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                take(i, sparsest(i))
                 progressed = True
             elif i > 0 and not schedules[i]:
                 prev = schedules[i - 1]
                 if prev:
-                    x = tag(prev[-1])
-                    take(i, best(i, lambda m: alpha * tag(m).dot(x)))
+                    take(i, best_one(i, alpha, mask[prev[-1]]))
                 else:  # previous client had nothing at all
-                    take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                    take(i, sparsest(i))
                 progressed = True
             elif i == 0:
                 # Catch up circularly to the last client of the previous round.
                 while remaining[i] and counts[i] < counts[n - 1]:
-                    y = tag(schedules[i][-1])
-                    take(i, best(i, lambda m: beta * tag(m).dot(y)))
+                    take(i, best_one(i, beta, mask[schedules[i][-1]]))
                     progressed = True
             else:
                 while remaining[i] and counts[i] < counts[i - 1]:
-                    y = tag(schedules[i][-1])
+                    y = mask[schedules[i][-1]]
                     prev = schedules[i - 1]
-                    x = tag(prev[-1]) if prev else y
-                    take(
-                        i,
-                        best(
-                            i,
-                            lambda m: alpha * tag(m).dot(x) + beta * tag(m).dot(y),
-                        ),
-                    )
+                    x = mask[prev[-1]] if prev else y
+                    take(i, best_both(i, x, y))
                     progressed = True
         if not progressed:
             # All catch-up conditions already met (equal counts) but chunks
@@ -130,10 +139,9 @@ def schedule_group(
                 key=lambda j: counts[j],
             )
             if schedules[i]:
-                y = tag(schedules[i][-1])
-                take(i, best(i, lambda m: beta * tag(m).dot(y)))
+                take(i, best_one(i, beta, mask[schedules[i][-1]]))
             else:
-                take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                take(i, sparsest(i))
     return schedules
 
 

@@ -6,8 +6,12 @@ in which loop iterations are executed) and iteration space tiling".  Both
 transforms reorder the *execution order* of the same iteration set — the
 mapping itself stays a blocked partition, exactly as the paper describes.
 
-The functions operate on explicit iteration matrices and return
-re-ordered views/copies, vectorised end to end.
+The matrix functions operate on explicit iteration matrices and return
+re-ordered copies, vectorised end to end.  Their rank counterparts
+(:func:`permutation_ranks`, :func:`tile_ranks`) return the same orders
+as lexicographic ranks computed from the space's shape alone, with no
+``(N, depth)`` matrix and no row-wise sort; the baseline's candidate
+search uses those.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from repro.polyhedral.iterspace import IterationSpace
 __all__ = [
     "permute_iterations",
     "tile_iterations",
+    "permutation_ranks",
+    "tile_ranks",
     "legal_permutations",
     "permutation_is_legal",
 ]
@@ -91,6 +97,48 @@ def tile_iterations(
     for k in range(depth - 1, -1, -1):
         keys.append(tile_coords[:, k])
     return its[np.lexsort(tuple(keys))]
+
+
+def permutation_ranks(space: IterationSpace, order: Sequence[int]) -> np.ndarray:
+    """Ranks of ``space``'s iterations in loop-permuted execution order.
+
+    Equal to ``space.linearize(permute_iterations(space.enumerate(),
+    order))``: transposing the rank grid makes ``order[0]`` the slowest
+    axis.
+    """
+    order = list(order)
+    if sorted(order) != list(range(space.depth)):
+        raise ValueError(
+            f"order {order!r} is not a permutation of 0..{space.depth - 1}"
+        )
+    grid = np.arange(space.size, dtype=np.int64).reshape(space.shape)
+    return grid.transpose(order).ravel()
+
+
+def tile_ranks(space: IterationSpace, tile_sizes: Sequence[int]) -> np.ndarray:
+    """Ranks of ``space``'s iterations in tiled execution order.
+
+    Equal to ``space.linearize(tile_iterations(its, tile_sizes, space))``
+    for any row order of ``its``: that sort's keys are the tile
+    coordinates, then the *original* loop coordinates, so the result
+    never depends on a prior permutation.  Here each iteration's tile id
+    is the mixed-radix number of its per-loop tile coordinates, built by
+    broadcasting one ``arange`` per loop, and a stable sort of the ids
+    keeps lexicographic order inside each tile.
+    """
+    sizes = list(tile_sizes)
+    if len(sizes) != space.depth:
+        raise ValueError("one tile size per loop expected")
+    shape = space.shape
+    tile_id = np.zeros((1,) * space.depth, dtype=np.int64)
+    for k, (extent, t) in enumerate(zip(shape, sizes)):
+        t = int(t)
+        if 0 < t < extent:  # otherwise one tile spans the loop: digit 0
+            axis = [1] * space.depth
+            axis[k] = extent
+            coord = (np.arange(extent, dtype=np.int64) // t).reshape(axis)
+            tile_id = tile_id * (-(-extent // t)) + coord
+    return np.argsort(np.broadcast_to(tile_id, shape).ravel(), kind="stable")
 
 
 def permutation_is_legal(

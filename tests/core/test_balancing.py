@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.balancing import TagMatrix, balance_clusters, imbalance
 from repro.core.chunking import IterationChunk
 from repro.core.clustering import Cluster, _make_cluster
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.util.bitset import Tag
 
 
@@ -18,7 +19,7 @@ def build(pool_specs, cluster_assignment, r=16):
         pool.append(IterationChunk(Tag(chunks, r), np.arange(rank, rank + size)))
         rank += size
     tags = TagMatrix(pool, r)
-    clusters = [_make_cluster(list(ms), pool, r, tags) for ms in cluster_assignment]
+    clusters = [_make_cluster(list(ms), pool, tags) for ms in cluster_assignment]
     return pool, clusters, tags
 
 
@@ -156,3 +157,44 @@ class TestBalanceClusters:
         # All chunks still uniquely owned.
         owned = [m for c in clusters for m in c.members]
         assert len(owned) == len(set(owned))
+
+
+class CountingRegistry(MetricsRegistry):
+    """Counts instrument look-ups by name."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups: dict[str, int] = {}
+
+    def counter(self, name, **labels):
+        self.lookups[name] = self.lookups.get(name, 0) + 1
+        return super().counter(name, **labels)
+
+
+def test_counters_on_fixed_case():
+    """Move and split totals pinned from the per-move look-up code; the
+    ``balancing.moves`` counter is now looked up once per call."""
+    sizes = [15, 40, 6, 900, 19, 19, 54, 48, 55, 59, 5, 9, 52, 5, 10, 11, 54, 22,
+             16, 11, 28, 35, 48, 37, 59, 7, 29, 34, 41, 1, 12, 28, 4, 58, 38, 48,
+             31, 36, 21, 20]
+    tagsets = [
+        [3], [4, 7, 13], [3, 13], [4, 12], [1, 4, 7], [2], [12], [4, 15], [9, 14],
+        [5], [5, 7], [7, 15], [14], [1], [3], [2, 3], [8, 13, 14], [1, 13], [5],
+        [1, 10], [1], [2], [5, 8, 10], [4, 15], [4, 9], [1, 5, 6], [3, 15], [7, 9],
+        [6, 8], [15], [0, 5], [10], [2, 9], [0], [3], [0, 9], [5], [6], [13], [0],
+    ]
+    pool, clusters, tags = build(
+        list(zip(tagsets, sizes)),
+        [list(range(30)), [30, 31, 32, 33], [34, 35, 36, 37], [38, 39]],
+    )
+    registry = CountingRegistry()
+    with use_registry(registry):
+        balance_clusters(clusters, pool, 0.10, 16, tags)
+    assert registry.counter("balancing.moves").value == 30
+    assert registry.counter("balancing.splits").value == 1
+    assert registry.lookups["balancing.moves"] == 2  # one call + the read above
+    assert len(pool) == 41
+    assert [c.size for c in clusters] == [497, 459, 556, 513]
+    assert clusters[2].members == [34, 35, 36, 37, 40]
+    for c in clusters:
+        c.validate(pool)

@@ -68,18 +68,16 @@ class TestIntraProcessorMapper:
         """A[j,i] traversed i-major touches a new chunk (row) every step;
         the intra mapper must interchange to fix the request count."""
         nest, ds = transpose_nest()
-        chunk_matrix = nest.references[0].touched_chunks(
-            nest.iterations(), ds
-        )[:, None]
+        chunks = nest.references[0].touched_chunks(nest.iterations(), ds)[None, :]
         original_cost = IntraProcessorMapper._transition_cost(
-            nest.iterations(), nest, chunk_matrix
+            np.arange(nest.num_iterations), chunks
         )
         m = IntraProcessorMapper().map(nest, ds, hierarchy)
         m.validate(nest.num_iterations)
         order = np.concatenate([m.client_order[c] for c in range(4)])
-        its = nest.space.delinearize(order)
-        new_cost = IntraProcessorMapper._transition_cost(its, nest, chunk_matrix)
+        new_cost = IntraProcessorMapper._transition_cost(order, chunks)
         assert new_cost < original_cost
+        assert (original_cost, new_cost) == (256, 16)
 
     def test_identity_when_dependences_block(self, hierarchy):
         # A write plus a modular read: unknown dependence, no transform.
@@ -107,8 +105,10 @@ class TestIntraProcessorMapper:
         # Two identical refs double the request count.
         refs2 = [nest.references[0], nest.references[0]]
         nest2 = LoopNest("t2", nest.space, refs2)
-        m1 = nest.references[0].touched_chunks(nest.iterations(), ds)[:, None]
-        m2 = np.concatenate([m1, m1], axis=1)
-        c1 = IntraProcessorMapper._transition_cost(nest.iterations(), nest, m1)
-        c2 = IntraProcessorMapper._transition_cost(nest2.iterations(), nest2, m2)
+        m1 = nest.references[0].touched_chunks(nest.iterations(), ds)[None, :]
+        m2 = np.concatenate([m1, m1], axis=0)
+        ranks = np.arange(nest2.num_iterations)
+        c1 = IntraProcessorMapper._transition_cost(ranks, m1)
+        c2 = IntraProcessorMapper._transition_cost(ranks, m2)
         assert c2 == 2 * c1
+        assert c1 == 16
