@@ -62,22 +62,46 @@ class TagMatrix:
     fancy-indexed matmul instead of per-chunk Python loops.  Rows are
     ``float32``: tag entries are 0/1 and every sum or dot taken over
     them is an integer below ``2**24``, so single precision is exact.
+    The set bits are also kept row by row (``_start``/``_count`` into
+    ``_cols``), so a gather of the members' set bits costs the bits,
+    not ``len(members) * r``.
     """
 
     def __init__(self, pool: list[IterationChunk], r: int):
         self.r = r
-        self._rows = np.zeros((max(len(pool), 16), r), dtype=np.float32)
-        self._n = 0
-        for chunk in pool:
-            self.append(chunk)
+        chunks = [list(chunk.tag.chunks) for chunk in pool]
+        count = np.array([len(c) for c in chunks], dtype=np.int64)
+        cols = np.fromiter(
+            (c for cs in chunks for c in cs), dtype=np.int64, count=int(count.sum())
+        )
+        rows = max(len(pool), 16)
+        self._n = len(pool)
+        self._rows = np.zeros((rows, r), dtype=np.float32)
+        self._rows[np.repeat(np.arange(self._n), count), cols] = 1.0
+        self._count = np.zeros(rows, dtype=np.int64)
+        self._count[: self._n] = count
+        self._start = np.zeros(rows, dtype=np.int64)
+        self._start[: self._n] = np.cumsum(count) - count
+        self._nnz = len(cols)
+        self._cols = np.zeros(max(2 * self._nnz, 16), dtype=np.int64)
+        self._cols[: self._nnz] = cols
 
     def append(self, chunk: IterationChunk) -> None:
+        cols = list(chunk.tag.chunks)
         if self._n == len(self._rows):
             grown = np.zeros((2 * len(self._rows), self.r), dtype=np.float32)
             grown[: self._n] = self._rows[: self._n]
             self._rows = grown
-        self._rows[self._n, list(chunk.tag.chunks)] = 1.0
+            self._start = np.resize(self._start, len(grown))
+            self._count = np.resize(self._count, len(grown))
+        if self._nnz + len(cols) > len(self._cols):
+            self._cols = np.resize(self._cols, 2 * (self._nnz + len(cols)))
+        self._rows[self._n, cols] = 1.0
+        self._start[self._n] = self._nnz
+        self._count[self._n] = len(cols)
+        self._cols[self._nnz : self._nnz + len(cols)] = cols
         self._n += 1
+        self._nnz += len(cols)
 
     def row(self, index: int) -> np.ndarray:
         if not 0 <= index < self._n:
@@ -86,10 +110,30 @@ class TagMatrix:
 
     def rows(self, members: list[int]) -> np.ndarray:
         """A copy of the members' tag rows, ``(len(members), r)``."""
+        return self._rows[self._check(members)]
+
+    def bits(self, members: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The members' set tag bits as ``(k, chunk)`` pairs, ``k`` ascending.
+
+        ``k`` is the position in ``members``: ``rows(members)[k, chunk]``
+        is 1 exactly for the returned pairs.
+        """
+        idx = self._check(members)
+        count = self._count[idx]
+        first = np.cumsum(count) - count
+        at = np.arange(int(count.sum())) + np.repeat(self._start[idx] - first, count)
+        return np.repeat(np.arange(len(idx)), count), self._cols[at]
+
+    def counts(self, members: list[int]) -> np.ndarray:
+        """Per data chunk, how many members' tags hold it (``float32``)."""
+        _, cols = self.bits(members)
+        return np.bincount(cols, minlength=self.r).astype(np.float32)
+
+    def _check(self, members: list[int]) -> np.ndarray:
         idx = np.asarray(members, dtype=np.int64)
         if len(idx) and not (0 <= idx.min() and idx.max() < self._n):
             raise IndexError("tag row out of range")
-        return self._rows[idx]
+        return idx
 
     def dots(self, members: list[int], signature: np.ndarray) -> np.ndarray:
         """Dot product of each member's tag with a ``float32`` signature."""

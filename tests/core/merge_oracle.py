@@ -53,3 +53,42 @@ def merge_down_dense(clusters, target: int, r: int):
     ordered = [clusters[i] for i in range(n) if alive[i]]
     ordered.sort(key=lambda c: min(c.members))
     return ordered
+
+
+#: Rows of ``S @ S.T`` materialised at a time by :func:`initial_best_partners_gemm`.
+BLOCK_ROWS = 256
+
+
+def initial_best_partners_gemm(support):
+    """Each row's first maximal off-diagonal support dot, by dense GEMM.
+
+    The merge kernel's original partner seeding: only the upper
+    triangle of ``S @ S.T`` is computed, ``BLOCK_ROWS`` rows at a time;
+    each block also serves, transposed, the rows below it.  Every row
+    sees its columns in ascending order and keeps a partner unless a
+    strictly larger dot arrives, so ties go to the lowest column as with
+    ``argmax`` over the full row.  The 0/1 GEMM is exact in float32.
+    """
+    n = len(support)
+    F = np.asarray(support, dtype=np.float32)
+    best = np.zeros(n, dtype=np.int64)
+    bestw = np.full(n, -1, dtype=np.int32)
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        block = (F[i0:i1] @ F[i0:].T).astype(np.int32)
+        rows = np.arange(i1 - i0)
+        block[rows, rows] = -1
+        # Rows i0:i1 against columns i0: (earlier columns came before).
+        _offer(best[i0:i1], bestw[i0:i1], block, i0)
+        # Rows i1: against columns i0:i1, by symmetry.
+        _offer(best[i1:], bestw[i1:], block[:, i1 - i0 :].T, i0)
+    return best, bestw
+
+
+def _offer(best, bestw, dots, col0):
+    """Update cached partners in place with later columns ``col0 + j``."""
+    col = np.argmax(dots, axis=1)
+    val = dots[np.arange(len(dots)), col]
+    better = val > bestw
+    best[better] = col[better] + col0
+    bestw[better] = val[better]
